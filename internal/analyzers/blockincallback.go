@@ -35,6 +35,21 @@ var blockingFuncs = map[string]string{
 	"ygm/internal/collective.Alltoallv":       "is a blocking collective",
 	"ygm/internal/collective.AlltoallvPooled": "is a blocking collective",
 	"ygm/internal/collective.ExscanU64":       "is a blocking collective",
+	"ygm/internal/container.Barrier":          "waits for global container quiescence",
+	"ygm/internal/container.ForAll":           "is a collective container query",
+	"ygm/internal/container.Size":             "is a collective container query",
+	"ygm/internal/container.TopK":             "is a collective container query",
+}
+
+// containerCallbackArgs maps "pkgpath.Name" of the container methods
+// that take a callback run inside mailbox delivery to that argument's
+// index: AsyncVisitFetch callbacks fire when their reply record is
+// delivered, and registered visitors and fetchers run on the owner when
+// the operation record is delivered.
+var containerCallbackArgs = map[string]int{
+	"ygm/internal/container.AsyncVisitFetch": 3,
+	"ygm/internal/container.RegisterVisitor": 0,
+	"ygm/internal/container.RegisterFetcher": 0,
 }
 
 // trustedFrameworkPkgs are packages whose internals the walk does not
@@ -51,7 +66,8 @@ var trustedFrameworkPkgs = map[string]bool{
 // Blockincallback flags blocking primitives reachable from mailbox
 // receive callbacks. Roots are function literals or references used as
 // ygm.Handler values (handler arguments, Handler(...) conversions,
-// Handler-typed variables); the walk follows static calls through the
+// Handler-typed variables) or passed as container callbacks
+// (containerCallbackArgs); the walk follows static calls through the
 // loaded module's call graph.
 var Blockincallback = &Analyzer{
 	Name: "blockincallback",
@@ -73,13 +89,13 @@ func runBlockincallback(pass *Pass) []Finding {
 			case *ast.ValueSpec:
 				if node.Type != nil && isHandlerType(pass.Pkg.Info.Types[node.Type].Type) {
 					for _, v := range node.Values {
-						w.walkRoot(v, pass.Pkg)
+						w.walkRoot(v, pass.Pkg, "handler")
 					}
 				}
 			case *ast.AssignStmt:
 				for i, rhs := range node.Rhs {
 					if i < len(node.Lhs) && isHandlerType(pass.Pkg.Info.Types[node.Lhs[i]].Type) {
-						w.walkRoot(rhs, pass.Pkg)
+						w.walkRoot(rhs, pass.Pkg, "handler")
 					}
 				}
 			}
@@ -113,13 +129,19 @@ func (w *callbackWalker) rootsFromCall(call *ast.CallExpr) {
 	info := w.pass.Pkg.Info
 	if tv, ok := info.Types[call.Fun]; ok && tv.IsType() {
 		if isHandlerType(tv.Type) && len(call.Args) == 1 {
-			w.walkRoot(call.Args[0], w.pass.Pkg)
+			w.walkRoot(call.Args[0], w.pass.Pkg, "handler")
 		}
 		return
 	}
 	fn := calleeOf(info, call)
 	if fn == nil {
 		return
+	}
+	if fn.Pkg() != nil {
+		if i, ok := containerCallbackArgs[fn.Pkg().Path()+"."+fn.Name()]; ok && i < len(call.Args) {
+			w.walkRoot(call.Args[i], w.pass.Pkg, fn.Name()+" callback")
+			return
+		}
 	}
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok {
@@ -141,24 +163,25 @@ func (w *callbackWalker) rootsFromCall(call *ast.CallExpr) {
 			}
 		}
 		if isHandlerType(pt) {
-			w.walkRoot(arg, w.pass.Pkg)
+			w.walkRoot(arg, w.pass.Pkg, "handler")
 		}
 	}
 }
 
 func hasEllipsis(call *ast.CallExpr) bool { return call.Ellipsis.IsValid() }
 
-// walkRoot follows one handler-valued expression: a literal is walked in
+// walkRoot follows one callback-valued expression of the given kind
+// ("handler", "AsyncVisitFetch callback", ...): a literal is walked in
 // place, a function reference is resolved and its declaration walked.
-func (w *callbackWalker) walkRoot(expr ast.Expr, pkg *Package) {
+func (w *callbackWalker) walkRoot(expr ast.Expr, pkg *Package, kind string) {
 	switch e := ast.Unparen(expr).(type) {
 	case *ast.FuncLit:
 		pos := pkg.Fset.Position(e.Pos())
-		root := fmt.Sprintf("handler literal at %s:%d", shortFile(pos.Filename), pos.Line)
+		root := fmt.Sprintf("%s literal at %s:%d", kind, shortFile(pos.Filename), pos.Line)
 		w.walkBody(e.Body, pkg, root, nil)
 	case *ast.Ident, *ast.SelectorExpr:
 		if fn := refTarget(pkg.Info, e); fn != nil {
-			w.walkFunc(fn, fmt.Sprintf("handler %s", fn.Name()), nil)
+			w.walkFunc(fn, fmt.Sprintf("%s %s", kind, fn.Name()), nil)
 		}
 	}
 }

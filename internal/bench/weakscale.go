@@ -88,11 +88,12 @@ func WeakScale(rankCounts []int, seed int64) ([]WeakScalePoint, error) {
 }
 
 // The sweep's collective is a hand-rolled binomial tree over raw
-// transport sends rather than collective.World: constructing a world
-// communicator costs O(P) per rank (member list + dedup map), which is
-// O(P²) across the world — at 65k ranks that alone is tens of GiB. The
-// tree keeps every rank at O(log P) work and O(1) state, so the sweep
-// measures the scheduler and inbox layer, not communicator setup.
+// transport sends rather than a collective.Comm operation. The tree
+// keeps every rank at O(log P) work and O(1) state, so the sweep
+// measures the scheduler and inbox layer alone, and its numbers stay
+// comparable with those recorded when building a world communicator
+// still cost O(P) per rank (a member list plus a dedup map; the world
+// communicator is now implicit and O(1)).
 
 // treeReduce gathers one message per rank up a binomial tree to rank 0:
 // every non-root rank sends exactly one packet to its parent after

@@ -49,6 +49,41 @@ func TestNewValidation(t *testing.T) {
 	}
 }
 
+// TestWorldIsImplicit pins the world communicator's identity mapping:
+// member i is rank i, no member list exists until Ranks asks for one,
+// and ranks outside the world map to no index.
+func TestWorldIsImplicit(t *testing.T) {
+	runWorld(t, 2, 3, func(p *transport.Proc, c *Comm) error {
+		if c.ranks != nil {
+			return fmt.Errorf("world communicator built a member list eagerly")
+		}
+		if c.Size() != p.WorldSize() || c.Index() != int(p.Rank()) {
+			return fmt.Errorf("world size/index = %d/%d, want %d/%d", c.Size(), c.Index(), p.WorldSize(), p.Rank())
+		}
+		for i := 0; i < c.Size(); i++ {
+			if r := c.rank(i); r != machine.Rank(i) {
+				return fmt.Errorf("world member %d is rank %d", i, r)
+			}
+			if idx := c.indexOf(machine.Rank(i)); idx != i {
+				return fmt.Errorf("world rank %d maps to index %d", i, idx)
+			}
+		}
+		if idx := c.indexOf(machine.Rank(c.Size())); idx != -1 {
+			return fmt.Errorf("rank outside the world maps to index %d", idx)
+		}
+		ranks := c.Ranks()
+		if len(ranks) != c.Size() {
+			return fmt.Errorf("world Ranks() has %d entries, want %d", len(ranks), c.Size())
+		}
+		for i, r := range ranks {
+			if r != machine.Rank(i) {
+				return fmt.Errorf("world Ranks()[%d] = %d", i, r)
+			}
+		}
+		return nil
+	})
+}
+
 func TestBarrierCouplesToSlowest(t *testing.T) {
 	const slowTime = 5e-3
 	var mu sync.Mutex

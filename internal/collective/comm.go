@@ -13,6 +13,7 @@
 package collective
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/fnv"
 
@@ -23,10 +24,16 @@ import (
 // Comm is a communicator: an ordered rank group with a private tag space.
 // Construct one per rank with New (or World); all members must pass the
 // member list in the same order.
+//
+// The world communicator is implicit: member i is rank i, so it keeps no
+// member list (Ranks materialises one on first use) and maps ranks to
+// indices without a search.
 type Comm struct {
 	p     *transport.Proc
-	ranks []machine.Rank
-	me    int // index of p.Rank() in ranks
+	world bool
+	ranks []machine.Rank // member list; lazily built for the world
+	size  int
+	me    int // index of p.Rank() among the members
 	hash  uint64
 	seq   uint64
 }
@@ -55,52 +62,61 @@ func New(p *transport.Proc, ranks []machine.Rank) (*Comm, error) {
 	if me < 0 {
 		return nil, fmt.Errorf("collective: rank %d not a member of communicator", p.Rank())
 	}
-	h := fnv.New64a()
-	var buf [8]byte
-	// Fold in the per-rank construction nonce: two communicators over the
-	// same member list (e.g. NLNR's first and third exchange stages, or a
-	// stage communicator that coincides with the world) would otherwise
-	// share a tag space while advancing independent sequence counters —
-	// their traffic would cross-talk. Construction is collective, so all
-	// members draw the same nonce.
-	nonce := p.CommNonce()
-	for i := range buf {
-		buf[i] = byte(nonce >> (8 * i))
-	}
-	h.Write(buf[:])
-	for _, r := range ranks {
-		buf[0] = byte(r)
-		buf[1] = byte(r >> 8)
-		buf[2] = byte(r >> 16)
-		buf[3] = byte(r >> 24)
-		h.Write(buf[:4])
-	}
 	members := make([]machine.Rank, len(ranks))
 	copy(members, ranks)
-	return &Comm{p: p, ranks: members, me: me, hash: h.Sum64()}, nil
+	return &Comm{p: p, ranks: members, size: len(members), me: me, hash: commHash(p, members)}, nil
 }
 
 // World returns the communicator spanning every rank, in rank order.
+// Its tag hash folds in the world size in place of the member list.
 func World(p *transport.Proc) *Comm {
-	ranks := make([]machine.Rank, p.WorldSize())
-	for i := range ranks {
-		ranks[i] = machine.Rank(i)
+	size := p.WorldSize()
+	return &Comm{p: p, world: true, size: size, me: int(p.Rank()),
+		hash: commHash(p, []machine.Rank{machine.Rank(size)})}
+}
+
+// commHash hashes the per-rank construction nonce and the member words
+// into a communicator's tag hash. The nonce matters: two communicators
+// over the same member list (e.g. NLNR's first and third exchange
+// stages, or a stage communicator that coincides with the world) would
+// otherwise share a tag space while advancing independent sequence
+// counters, and their traffic would cross-talk. Construction is
+// collective, so all members draw the same nonce.
+func commHash(p *transport.Proc, words []machine.Rank) uint64 {
+	b := make([]byte, 0, 8+4*len(words))
+	b = binary.LittleEndian.AppendUint64(b, p.CommNonce())
+	for _, w := range words {
+		b = binary.LittleEndian.AppendUint32(b, uint32(w))
 	}
-	c, err := New(p, ranks)
-	if err != nil {
-		panic(err) // cannot happen: world always contains the caller
-	}
-	return c
+	h := fnv.New64a()
+	h.Write(b)
+	return h.Sum64()
 }
 
 // Size returns the number of member ranks.
-func (c *Comm) Size() int { return len(c.ranks) }
+func (c *Comm) Size() int { return c.size }
 
 // Index returns the calling rank's position within the communicator.
 func (c *Comm) Index() int { return c.me }
 
 // Ranks returns the member list (callers must not mutate it).
-func (c *Comm) Ranks() []machine.Rank { return c.ranks }
+func (c *Comm) Ranks() []machine.Rank {
+	if c.ranks == nil {
+		c.ranks = make([]machine.Rank, c.size)
+		for i := range c.ranks {
+			c.ranks[i] = machine.Rank(i)
+		}
+	}
+	return c.ranks
+}
+
+// rank returns the member at index idx.
+func (c *Comm) rank(idx int) machine.Rank {
+	if c.world {
+		return machine.Rank(idx)
+	}
+	return c.ranks[idx]
+}
 
 // nextOp advances the per-communicator sequence number and returns it.
 // All members advance in lockstep because operations are collective.
@@ -119,7 +135,7 @@ func (c *Comm) nextOp() uint64 {
 //	bits  8..31  operation sequence, low 24 bits
 //	bit   32     TagCollective marker
 //	bits 33..40  operation sequence, high 8 bits
-//	bit   41     reply-stream discriminator (0 = collective op, 1 = ReplyTag)
+//	bit   41     free (always clear)
 //	bits 42..62  member-list hash (21 bits)
 //	bit   63     clear (TagRound space)
 //
@@ -131,7 +147,6 @@ func (c *Comm) nextOp() uint64 {
 const (
 	tagHashBits  = 21
 	tagHashShift = 42
-	tagReplyBit  = transport.Tag(1) << 41
 	tagOpHiShift = 33
 )
 
@@ -150,25 +165,9 @@ func (c *Comm) tag(op uint64, round int) transport.Tag {
 		transport.Tag(round&0xff)
 }
 
-// ReplyTag carves a point-to-point tag out of this communicator's tag
-// space for request/reply traffic that is *not* a collective operation
-// (e.g. the container layer's AsyncVisitFetch responses). The reply
-// discriminator bit keeps every ReplyTag structurally disjoint from
-// every collective-op tag of every communicator, including ones with an
-// identical member list: op tags have bit 41 clear, reply tags have it
-// set, and the CommNonce folded into the hash separates same-membership
-// communicators from each other. stream distinguishes independent reply
-// channels on the same communicator (full 32-bit width, split like the
-// op sequence).
-func (c *Comm) ReplyTag(stream uint64) transport.Tag {
-	return transport.TagCollective | tagReplyBit |
-		transport.Tag((c.hash&((1<<tagHashBits)-1))<<tagHashShift) |
-		foldOp(stream)
-}
-
 // send transmits payload to the member at index idx.
 func (c *Comm) send(idx int, t transport.Tag, payload []byte) {
-	c.p.Send(c.ranks[idx], t, payload)
+	c.p.Send(c.rank(idx), t, payload)
 }
 
 // recv blocks for one packet of tag t and returns it.
@@ -178,6 +177,12 @@ func (c *Comm) recv(t transport.Tag) *transport.Packet {
 
 // indexOf maps a member rank back to its communicator index.
 func (c *Comm) indexOf(r machine.Rank) int {
+	if c.world {
+		if r >= 0 && int(r) < c.size {
+			return int(r)
+		}
+		return -1
+	}
 	for i, m := range c.ranks {
 		if m == r {
 			return i

@@ -40,7 +40,7 @@ func (c *Comm) Barrier() {
 	sp := c.p.Span("coll.barrier")
 	defer sp.End()
 	op := c.nextOp()
-	size := len(c.ranks)
+	size := c.size
 	round := 0
 	for k := 1; k < size; k <<= 1 {
 		t := c.tag(op, round)
@@ -55,7 +55,7 @@ func (c *Comm) Barrier() {
 // pass nil.
 func (c *Comm) Bcast(root int, payload []byte) []byte {
 	op := c.nextOp()
-	size := len(c.ranks)
+	size := c.size
 	c.checkRoot(root)
 	rel := (c.me - root + size) % size
 	mask := 1
@@ -83,7 +83,7 @@ func (c *Comm) Bcast(root int, payload []byte) []byte {
 // members return nil. All members must pass equal-length vectors.
 func (c *Comm) ReduceU64(root int, vals []uint64, op func(a, b uint64) uint64) []uint64 {
 	opSeq := c.nextOp()
-	size := len(c.ranks)
+	size := c.size
 	c.checkRoot(root)
 	acc := make([]uint64, len(vals))
 	copy(acc, vals)
@@ -132,7 +132,7 @@ func (c *Comm) AllreduceU64(vals []uint64, op func(a, b uint64) uint64) []uint64
 // ReduceF64 is ReduceU64 for float vectors.
 func (c *Comm) ReduceF64(root int, vals []float64, op func(a, b float64) float64) []float64 {
 	opSeq := c.nextOp()
-	size := len(c.ranks)
+	size := c.size
 	c.checkRoot(root)
 	acc := make([]float64, len(vals))
 	copy(acc, vals)
@@ -171,7 +171,7 @@ func (c *Comm) ReduceF64(root int, vals []float64, op func(a, b float64) float64
 // The container layer's top-K heavy-hitters query rides on this.
 func (c *Comm) ReduceBytes(root int, payload []byte, merge func(acc, in []byte) []byte) []byte {
 	opSeq := c.nextOp()
-	size := len(c.ranks)
+	size := c.size
 	c.checkRoot(root)
 	acc := payload
 	rel := (c.me - root + size) % size
@@ -212,7 +212,7 @@ func (c *Comm) AllreduceF64(vals []float64, op func(a, b float64) float64) []flo
 // The root returns a slice indexed by member position; others return nil.
 func (c *Comm) Gatherv(root int, payload []byte) [][]byte {
 	opSeq := c.nextOp()
-	size := len(c.ranks)
+	size := c.size
 	c.checkRoot(root)
 	// held maps member index -> payload for the subtree gathered so far.
 	held := map[int][]byte{c.me: payload}
@@ -289,10 +289,10 @@ func (c *Comm) Scatterv(root int, payloads [][]byte) []byte {
 	opSeq := c.nextOp()
 	c.checkRoot(root)
 	if c.me == root {
-		if len(payloads) != len(c.ranks) {
-			panic(fmt.Sprintf("collective: scatter of %d payloads over %d members", len(payloads), len(c.ranks)))
+		if len(payloads) != c.size {
+			panic(fmt.Sprintf("collective: scatter of %d payloads over %d members", len(payloads), c.size))
 		}
-		for i := range c.ranks {
+		for i := 0; i < c.size; i++ {
 			if i == root {
 				continue
 			}
@@ -313,7 +313,7 @@ func (c *Comm) Alltoallv(payloads [][]byte) [][]byte {
 	sp := c.p.Span("coll.alltoallv")
 	defer sp.End()
 	opSeq := c.nextOp()
-	size := len(c.ranks)
+	size := c.size
 	if len(payloads) != size {
 		panic(fmt.Sprintf("collective: alltoallv of %d payloads over %d members", len(payloads), size))
 	}
@@ -355,7 +355,7 @@ func (c *Comm) AlltoallvPooled(payloads [][]byte, scratch []*transport.Packet, s
 	sp := c.p.Span("coll.alltoallv")
 	defer sp.End()
 	opSeq := c.nextOp()
-	size := len(c.ranks)
+	size := c.size
 	if len(payloads) != size {
 		panic(fmt.Sprintf("collective: alltoallv of %d payloads over %d members", len(payloads), size))
 	}
@@ -365,7 +365,7 @@ func (c *Comm) AlltoallvPooled(payloads [][]byte, scratch []*transport.Packet, s
 	t := c.tag(opSeq, 0)
 	for shift := 1; shift < size; shift++ {
 		i := (c.me + shift) % size
-		c.p.SendPooled(c.ranks[i], t, payloads[i])
+		c.p.SendPooled(c.rank(i), t, payloads[i])
 	}
 	for i := 1; i < size; i++ {
 		pkt := c.recv(t)
@@ -400,7 +400,7 @@ func (c *Comm) ExscanU64(val, identity uint64, op func(a, b uint64) uint64) uint
 	gathered := c.Gatherv(0, w.Bytes())
 	var payloads [][]byte
 	if c.me == 0 {
-		payloads = make([][]byte, len(c.ranks))
+		payloads = make([][]byte, c.size)
 		acc := identity
 		for i, blob := range gathered {
 			pw := &codec.Writer{}
@@ -422,7 +422,7 @@ func (c *Comm) ExscanU64(val, identity uint64, op func(a, b uint64) uint64) uint
 }
 
 func (c *Comm) checkRoot(root int) {
-	if root < 0 || root >= len(c.ranks) {
-		panic(fmt.Sprintf("collective: root %d outside communicator of size %d", root, len(c.ranks)))
+	if root < 0 || root >= c.size {
+		panic(fmt.Sprintf("collective: root %d outside communicator of size %d", root, c.size))
 	}
 }

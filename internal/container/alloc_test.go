@@ -5,6 +5,7 @@ import (
 	"strconv"
 	"testing"
 
+	"ygm/internal/codec"
 	"ygm/internal/machine"
 	"ygm/internal/netsim"
 	"ygm/internal/transport"
@@ -154,6 +155,46 @@ func TestSetAsyncInsertSteadyStateZeroAlloc(t *testing.T) {
 		}
 		if avg := testing.AllocsPerRun(allocRuns, insertAll); avg != 0 {
 			return fmt.Errorf("set AsyncInsert of %d live keys allocates %.1f allocs/run, want 0", allocKeys, avg)
+		}
+		return nil
+	})
+}
+
+// TestFetchReplySteadyStateZeroAlloc pins the request/reply cycle: with
+// the callback table and scratch stacks warm, one AsyncVisitFetch —
+// registration, the owner handling opFetch, and this rank dispatching
+// the opReply record to the callback — allocates nothing. The callback
+// is one long-lived func value; a fresh closure per call would be the
+// caller's allocation, not the engine's.
+func TestFetchReplySteadyStateZeroAlloc(t *testing.T) {
+	skipIfYgmcheck(t)
+	runAllocPin(t, func(e *Engine) error {
+		c := NewCounter(e, nil)
+		count := c.RegisterFetcher(func(c *Counter, k, arg []byte, reply *codec.Writer) {
+			reply.Uvarint(c.LocalCount(k))
+		})
+		keys := allocKeySet()
+		for _, k := range keys {
+			c.AsyncAdd(k, 1)
+		}
+		var sum uint64
+		cb := func(reply []byte) {
+			n, _ := codec.NewReader(reply).Uvarint()
+			sum += n
+		}
+		fetchAll := func() {
+			for _, k := range keys {
+				c.AsyncVisitFetch(count, k, nil, cb)
+			}
+		}
+		for i := 0; i < allocWarmup; i++ {
+			fetchAll()
+		}
+		if avg := testing.AllocsPerRun(allocRuns, fetchAll); avg != 0 {
+			return fmt.Errorf("counter AsyncVisitFetch of %d live keys allocates %.1f allocs/run, want 0", allocKeys, avg)
+		}
+		if want := uint64(allocKeys * (allocWarmup + allocRuns + 1)); sum != want {
+			return fmt.Errorf("fetch callbacks summed %d, want %d", sum, want)
 		}
 		return nil
 	})

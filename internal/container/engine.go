@@ -5,15 +5,14 @@
 // on exactly one owning rank (chosen by a pluggable Partitioner) and
 // every mutation is shipped there as a fire-and-forget mailbox message.
 // Quiescence — "all issued operations have been applied" — is the
-// mailbox's own termination-detected WaitEmpty, extended by the engine
-// to cover the reply stream of AsyncVisitFetch.
+// mailbox's own termination-detected WaitEmpty.
 //
 // The package is a thin veneer: it adds no communication path of its
-// own. Container traffic is ordinary coalesced mailbox traffic (the
-// zero-alloc exchange hot path), and fetch replies ride a point-to-point
-// transport tag carved from the collective tag space, so the PR 7
-// synchronizability oracle and the delivery oracle judge container
-// workloads exactly as they judge raw mailbox workloads.
+// own. Container traffic, AsyncVisitFetch replies included, is ordinary
+// coalesced mailbox traffic (the zero-alloc exchange hot path), so
+// termination detection counts every reply, and the synchronizability
+// oracle and the delivery oracle judge container workloads exactly as
+// they judge raw mailbox workloads.
 package container
 
 import (
@@ -35,6 +34,7 @@ const (
 	opAdd                    // delta, key (counter accumulation)
 	opVisit                  // visitor id, key, arg
 	opFetch                  // visitor id, fetch id, caller, key, arg
+	opReply                  // fetch id, reply bytes (to the end of the frame)
 )
 
 // instance is the owner-side face of one container: the engine decodes
@@ -58,10 +58,9 @@ type instance interface {
 // An Engine (like the mailbox under it) is confined to its rank's
 // goroutine.
 type Engine struct {
-	mb       ygm.Box
-	p        *transport.Proc
-	comm     *collective.Comm
-	replyTag transport.Tag
+	mb   ygm.Box
+	p    *transport.Proc
+	comm *collective.Comm
 
 	conts []instance
 
@@ -77,11 +76,10 @@ type Engine struct {
 	rDepth  int
 
 	// Fetch plumbing: callbacks for replies this rank is waiting on,
-	// keyed by a locally unique fetch id. outstanding counts issued
-	// fetches whose callback has not run yet.
-	fetches     map[uint64]func(reply []byte)
-	nextFetch   uint64
-	outstanding uint64
+	// keyed by a locally unique fetch id. An entry lives from the issuing
+	// call until its reply is delivered.
+	fetches   map[uint64]func(reply []byte)
+	nextFetch uint64
 }
 
 // NewEngine builds the container engine for this rank. Collective: every
@@ -95,7 +93,6 @@ func NewEngine(p *transport.Proc, opts ...ygm.Option) *Engine {
 		comm:    collective.World(p),
 		fetches: make(map[uint64]func(reply []byte)),
 	}
-	e.replyTag = e.comm.ReplyTag(0)
 	e.mb = ygm.New(p, e.handle, opts...)
 	return e
 }
@@ -188,69 +185,41 @@ func (e *Engine) handle(s ygm.Sender, payload []byte) {
 		arg := e.mustBytes(r)
 		e.popReader()
 		w := e.pushWriter()
+		w.Uvarint(cid)
+		w.Byte(opReply)
 		w.Uvarint(fid)
 		c.runFetch(vid, key, arg, w)
-		e.sendReply(caller, w)
+		e.mb.Send(caller, w.Bytes())
 		e.popWriter()
-	default:
-		panic(fmt.Sprintf("container: rank %d: unknown opcode %d", e.p.Rank(), op))
-	}
-}
-
-// sendReply routes one encoded fetch reply back to the caller on the
-// engine's reply tag. The payload travels in a pooled buffer so the
-// steady-state reply cycle stays allocation-free (term.go discipline:
-// encode into scratch, copy into an acquired buffer, SendPooled).
-func (e *Engine) sendReply(caller machine.Rank, w *codec.Writer) {
-	buf := e.p.AcquireBuf(w.Len())
-	copy(buf, w.Bytes())
-	e.p.SendPooled(caller, e.replyTag, buf)
-}
-
-// pumpReplies drains every fetch reply that has arrived and runs its
-// callback. Callbacks may issue new container operations (including new
-// fetches). Returns the number of callbacks fired.
-func (e *Engine) pumpReplies() uint64 {
-	var fired uint64
-	for {
-		pkt := e.p.Drain(e.replyTag)
-		if pkt == nil {
-			return fired
-		}
-		r := e.pushReader(pkt.Payload)
+	case opReply:
 		fid := e.mustUvarint(r)
-		reply := remaining(r, pkt.Payload)
+		reply := payload[r.Offset():]
 		e.popReader()
 		cb, ok := e.fetches[fid]
 		if !ok {
 			panic(fmt.Sprintf("container: rank %d: reply for unknown fetch %d", e.p.Rank(), fid))
 		}
 		delete(e.fetches, fid)
-		e.outstanding--
-		fired++
-		// The callback sees the payload in place; it must not retain the
-		// slice (the packet is recycled as soon as the callback returns).
+		// The reply is a view into the delivery buffer: cb must not
+		// retain it.
 		cb(reply)
-		e.p.Recycle(pkt)
+	default:
+		panic(fmt.Sprintf("container: rank %d: unknown opcode %d", e.p.Rank(), op))
 	}
 }
 
 // Barrier blocks until every container operation issued by any rank —
-// including fetch replies in flight and anything their callbacks spawn —
-// has been applied. Collective over all ranks.
+// including fetch replies and anything their callbacks spawn — has been
+// applied. Collective over all ranks.
 //
-// The loop alternates the mailbox's termination-detected WaitEmpty with
-// a reply pump, then agrees globally: only when no rank has outstanding
-// fetches and no rank fired a callback since its last WaitEmpty can no
-// further work appear anywhere.
+// Replies are ordinary mailbox records, so the mailbox's termination
+// detection already counts them: once WaitEmpty returns, every reply
+// has been delivered and every callback has run. A fetch still pending
+// here means a reply was lost, which is a bug below this layer.
 func (e *Engine) Barrier() {
-	for {
-		e.mb.WaitEmpty()
-		fired := e.pumpReplies()
-		pend := [1]uint64{e.outstanding + fired}
-		if e.comm.AllreduceU64(pend[:], collective.SumU64)[0] == 0 {
-			return
-		}
+	e.mb.WaitEmpty()
+	if n := len(e.fetches); n != 0 {
+		panic(fmt.Sprintf("container: rank %d: %d fetch callbacks pending after quiescence", e.p.Rank(), n))
 	}
 }
 
@@ -260,14 +229,14 @@ func (e *Engine) allreduceSum(v uint64) uint64 {
 	return e.comm.AllreduceU64(vals[:], collective.SumU64)[0]
 }
 
-// asyncFetch registers cb and ships an opFetch to owner. Fetches are
-// excluded from the zero-alloc contract (the callback registration
-// allocates); the fire-and-forget operations are the hot path.
+// asyncFetch registers cb and ships an opFetch to owner; the owner
+// answers with an opReply record. Once the callback table is warm the
+// request/reply cycle itself allocates nothing; a callback that is a
+// fresh closure per call costs the caller that closure.
 func (e *Engine) asyncFetch(owner machine.Rank, cid, vid uint64, key, arg []byte, cb func(reply []byte)) {
 	fid := e.nextFetch
 	e.nextFetch++
 	e.fetches[fid] = cb
-	e.outstanding++
 	w := e.pushWriter()
 	w.Uvarint(cid)
 	w.Byte(opFetch)
@@ -278,11 +247,6 @@ func (e *Engine) asyncFetch(owner machine.Rank, cid, vid uint64, key, arg []byte
 	w.Bytes0(arg)
 	e.mb.Send(owner, w.Bytes())
 	e.popWriter()
-}
-
-// remaining returns the undecoded tail of r's payload as a view.
-func remaining(r *codec.Reader, payload []byte) []byte {
-	return payload[r.Offset():]
 }
 
 // Decode helpers: corrupt container frames are programming errors (the

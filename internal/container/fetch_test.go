@@ -74,9 +74,9 @@ func TestAsyncVisitFetchReadYourWrites(t *testing.T) {
 	}
 }
 
-// TestFetchCallbackChainsFetch pins the Barrier reply-pump loop: a
-// callback that issues a further fetch (and a further insert) must have
-// its chained work completed within the same Barrier.
+// TestFetchCallbackChainsFetch pins chained completion: a callback that
+// issues a further fetch (and a further insert) must have its chained
+// work completed within the same Barrier.
 func TestFetchCallbackChainsFetch(t *testing.T) {
 	for _, v := range variants {
 		v := v

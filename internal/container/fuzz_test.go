@@ -12,7 +12,7 @@ import (
 // operation encoded the way the async ops encode it must decode — with
 // the exact helper sequence handle uses — back to the same fields, with
 // nothing left over. The opcode selector maps the fuzzer's byte onto the
-// five real opcodes so every arm stays covered no matter what bytes the
+// six real opcodes so every arm stays covered no matter what bytes the
 // fuzzer mutates toward.
 func FuzzContainerCodecRoundTrip(f *testing.F) {
 	f.Add(uint64(0), byte(0), []byte("key"), []byte("value"), uint64(1), uint64(0))
@@ -20,8 +20,9 @@ func FuzzContainerCodecRoundTrip(f *testing.F) {
 	f.Add(uint64(2), byte(2), []byte("k"), []byte{}, uint64(1<<40), uint64(3))
 	f.Add(uint64(300), byte(3), bytes.Repeat([]byte("x"), 300), []byte{0, 1, 2}, uint64(9), uint64(12))
 	f.Add(uint64(1<<50), byte(4), []byte{0xff}, bytes.Repeat([]byte{0}, 64), uint64(7), uint64(1<<33))
+	f.Add(uint64(5), byte(5), []byte(""), []byte("reply"), uint64(0), uint64(1<<20))
 	f.Fuzz(func(t *testing.T, cid uint64, opSel byte, key, val []byte, a, b uint64) {
-		op := opInsert + opSel%5
+		op := opInsert + opSel%6
 		w := codec.NewWriter(64)
 		w.Uvarint(cid)
 		w.Byte(op)
@@ -44,6 +45,9 @@ func FuzzContainerCodecRoundTrip(f *testing.F) {
 			w.Uvarint(uint64(machine.Rank(b % 1024)))
 			w.Bytes0(key)
 			w.Bytes0(val) // arg
+		case opReply:
+			w.Uvarint(b)  // fid
+			w.Bytes0(val) // the fetcher's output, opaque to the engine
 		}
 		frame := w.Bytes()
 
@@ -103,26 +107,18 @@ func FuzzContainerCodecRoundTrip(f *testing.F) {
 			}
 			check("key", mustB(), key)
 			check("arg", mustB(), val)
+		case opReply:
+			if got := mustU(); got != b {
+				t.Fatalf("reply fid %d, want %d", got, b)
+			}
+			// handle hands the callback the undecoded tail as a view.
+			tail := codec.NewWriter(16)
+			tail.Bytes0(val)
+			check("reply", frame[r.Offset():], tail.Bytes())
+			mustB()
 		}
 		if r.Remaining() != 0 {
 			t.Fatalf("%d trailing bytes after full decode of op %d", r.Remaining(), op)
-		}
-
-		// Fetch replies are the one frame decoded outside handle: the fid
-		// header plus an opaque tail read as a raw remainder view.
-		rw := codec.NewWriter(16)
-		rw.Uvarint(b)
-		rw.Bytes0(val)
-		reply := rw.Bytes()
-		rr := codec.NewReader(reply)
-		fid, err := rr.Uvarint()
-		if err != nil || fid != b {
-			t.Fatalf("reply fid %d (err %v), want %d", fid, err, b)
-		}
-		tailw := codec.NewWriter(16)
-		tailw.Bytes0(val)
-		if !bytes.Equal(reply[rr.Offset():], tailw.Bytes()) {
-			t.Fatalf("reply tail %x, want %x", reply[rr.Offset():], tailw.Bytes())
 		}
 	})
 }

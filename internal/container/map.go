@@ -94,11 +94,15 @@ func (m *Map) AsyncVisit(vid uint64, key, arg []byte) {
 }
 
 // AsyncVisitFetch runs fetcher vid on key's owner and routes its reply
-// to cb on this rank. cb runs during a later Engine.Barrier (or by the
-// end of the one in flight) and receives a view it must not retain.
-// Read-your-writes: operations this rank issued on key before the fetch
-// are applied before the fetcher runs, because both ride the same
-// mailbox channel in order.
+// to cb on this rank. The reply is an ordinary mailbox record, and cb
+// runs when it is delivered: inside this call when this rank owns key,
+// otherwise during later mailbox progress, at the latest by the end of
+// the next Engine.Barrier. cb runs in delivery context like a visitor:
+// it may issue further container operations (fetches included) but
+// must not call Barrier/Size/ForAll/TopK, and it receives a view it
+// must not retain. Read-your-writes: operations this rank issued on key
+// before the fetch are applied before the fetcher runs, because both
+// ride the same mailbox channel in order.
 func (m *Map) AsyncVisitFetch(vid uint64, key, arg []byte, cb func(reply []byte)) {
 	m.e.asyncFetch(m.Owner(key), m.cid, vid, key, arg, cb)
 }

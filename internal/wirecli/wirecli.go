@@ -188,12 +188,61 @@ func stripLauncherFlags(args []string) []string {
 	return out
 }
 
+// ephemeralRangeFile holds the kernel's ephemeral port range, the pool
+// a ":0" bind draws from.
+const ephemeralRangeFile = "/proc/sys/net/ipv4/ip_local_port_range"
+
+// Probe window used when the ephemeral range cannot be read: just below
+// Linux's default range of 32768–60999.
+const (
+	fallbackWindowLo = 20000
+	fallbackWindowHi = 31999
+)
+
+// reserveLoopbackAddr picks a free loopback port for rank 0's
+// rendezvous listener. The port must lie outside the ephemeral range:
+// every rank binds its own mesh listener to ":0", and a port that was
+// itself drawn from the ephemeral pool and released could be handed to
+// one of those binds before rank 0 claims it, failing the world at the
+// handshake deadline. So the launcher probes a window below the range,
+// starting at a per-process offset so concurrent launchers spread out.
 func reserveLoopbackAddr() (string, error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", err
+	lo, hi := rendezvousWindow(ephemeralRangeFile)
+	n := hi - lo + 1
+	start := os.Getpid() % n
+	var lastErr error
+	for i := 0; i < n; i++ {
+		addr := fmt.Sprintf("127.0.0.1:%d", lo+(start+i)%n)
+		ln, err := net.Listen("tcp", addr)
+		if err != nil {
+			lastErr = err
+			continue
+		}
+		ln.Close()
+		return addr, nil
 	}
-	addr := ln.Addr().String()
-	ln.Close()
-	return addr, nil
+	return "", fmt.Errorf("no free loopback port in %d-%d: %w", lo, hi, lastErr)
+}
+
+// rendezvousWindow returns the port window to probe: up to 12000 ports
+// just below the ephemeral range read from rangeFile, or just above it
+// when the range starts too low to leave room, or the fallback window
+// when the file is unreadable or the range spans every port.
+func rendezvousWindow(rangeFile string) (lo, hi int) {
+	const width, minPort, maxPort = 12000, 1024, 65535
+	b, err := os.ReadFile(rangeFile)
+	if err != nil {
+		return fallbackWindowLo, fallbackWindowHi
+	}
+	var eLo, eHi int
+	if _, err := fmt.Sscan(string(b), &eLo, &eHi); err != nil || eLo > eHi {
+		return fallbackWindowLo, fallbackWindowHi
+	}
+	if eLo-1 >= minPort {
+		return max(minPort, eLo-width), eLo - 1
+	}
+	if eHi+1 <= maxPort {
+		return eHi + 1, min(maxPort, eHi+width)
+	}
+	return fallbackWindowLo, fallbackWindowHi
 }

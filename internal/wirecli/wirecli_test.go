@@ -2,8 +2,13 @@ package wirecli
 
 import (
 	"flag"
+	"fmt"
 	"io"
+	"net"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -154,5 +159,57 @@ func TestReserveLoopbackAddr(t *testing.T) {
 	}
 	if !strings.HasPrefix(addr, "127.0.0.1:") || strings.HasSuffix(addr, ":0") {
 		t.Fatalf("reserved %q, want a concrete 127.0.0.1 port", addr)
+	}
+}
+
+// TestReservedPortOutsideEphemeralRange pins the rendezvous race fix:
+// the reserved port never comes from the pool the ranks' own ":0" mesh
+// listeners draw from.
+func TestReservedPortOutsideEphemeralRange(t *testing.T) {
+	b, err := os.ReadFile(ephemeralRangeFile)
+	if err != nil {
+		t.Skipf("ephemeral port range unreadable: %v", err)
+	}
+	var eLo, eHi int
+	if _, err := fmt.Sscan(string(b), &eLo, &eHi); err != nil {
+		t.Fatalf("parsing %q: %v", b, err)
+	}
+	addr, err := reserveLoopbackAddr()
+	if err != nil {
+		t.Skip("loopback listening unavailable in this sandbox")
+	}
+	_, portStr, _ := net.SplitHostPort(addr)
+	port, err := strconv.Atoi(portStr)
+	if err != nil {
+		t.Fatalf("reserved %q: %v", addr, err)
+	}
+	if port >= eLo && port <= eHi {
+		t.Fatalf("reserved port %d lies inside the ephemeral range %d-%d", port, eLo, eHi)
+	}
+}
+
+func TestRendezvousWindow(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, body string) string {
+		p := filepath.Join(dir, name)
+		if err := os.WriteFile(p, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	cases := []struct {
+		name, path string
+		lo, hi     int
+	}{
+		{"linux-default", write("default", "32768\t60999\n"), 20768, 32767},
+		{"narrow-below", write("low", "5000 60999\n"), 1024, 4999},
+		{"no-room-below", write("none", "1024 40000\n"), 40001, 52000},
+		{"garbage", write("garbage", "ports\n"), fallbackWindowLo, fallbackWindowHi},
+		{"missing", filepath.Join(dir, "absent"), fallbackWindowLo, fallbackWindowHi},
+	}
+	for _, c := range cases {
+		if lo, hi := rendezvousWindow(c.path); lo != c.lo || hi != c.hi {
+			t.Errorf("%s: window %d-%d, want %d-%d", c.name, lo, hi, c.lo, c.hi)
+		}
 	}
 }

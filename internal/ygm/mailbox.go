@@ -108,8 +108,8 @@ type Box interface {
 	// PendingSends reports records queued but not yet exchanged.
 	PendingSends() int
 	// Proc exposes the transport endpoint the mailbox runs on, so
-	// layers above (collectives, the container engine's reply stream)
-	// can share it without threading it separately.
+	// layers above (collectives, the container engine) can share it
+	// without threading it separately.
 	Proc() *transport.Proc
 }
 
